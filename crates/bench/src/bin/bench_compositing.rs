@@ -172,7 +172,7 @@ fn bench_overlap(grid: &Grid, reps: usize) -> Json {
         if let Some(ft) = sout.first_tile_seconds {
             first_ns.push(ft * 1e9);
         }
-        std::hint::black_box(sout.image.area());
+        std::hint::black_box(sout.outcome.image.area());
     }
     let sync = min_sample(sync_ns);
     let fused = min_sample(fused_ns);

@@ -49,10 +49,8 @@ use slsvr_core::Stopwatch;
 use vr_bench::gate::{self, min_sample, BenchArgs};
 use vr_bench::json::{obj, Json};
 use vr_image::checksum::fnv1a;
-use vr_render::{
-    render_block, render_block_accel, render_block_accel_pool, Camera, RenderAccel, RenderParams,
-    RenderPool,
-};
+use vr_image::Image;
+use vr_render::{render, Camera, RenderAccel, RenderJob, RenderParams, RenderPool};
 use vr_volume::{
     random_blobs, Dataset, DatasetKind, MacrocellGrid, Subvolume, TransferFunction, Volume,
     DEFAULT_CELL_SIZE,
@@ -139,6 +137,14 @@ const SCHEMA: &str = "slsvr-bench-rendering/v1";
 // Benches
 // ---------------------------------------------------------------------------
 
+/// Renders `job` into a fresh full-size image, fanned across `pool`
+/// when one is given.
+fn render_image(job: &RenderJob, pool: Option<&RenderPool>) -> Image {
+    let mut image = Image::blank(job.camera.width, job.camera.height);
+    render(job, pool, &mut image);
+    image
+}
+
 fn whole(dims: [usize; 3]) -> Subvolume {
     Subvolume {
         rank: 0,
@@ -208,7 +214,8 @@ fn bench_anchor(reps: usize) -> Json {
     let mut samples = Vec::with_capacity(reps.max(3));
     for _ in 0..reps.max(3) {
         let mut sw = Stopwatch::new();
-        let img = sw.time(|| render_block(&ds.volume, &whole(dims), &ds.transfer, &cam, &params));
+        let job = RenderJob::new(&ds.volume, whole(dims), &ds.transfer, &cam, params);
+        let img = sw.time(|| render_image(&job, None));
         std::hint::black_box(img.non_blank_count());
         samples.push(sw.seconds() * 1e9 / (64.0 * 64.0));
     }
@@ -248,25 +255,21 @@ fn bench_dataset(grid: &Grid, w: &Workload, reps: usize, cell: usize, tile: usiz
     let mut accel_ns = Vec::with_capacity(reps);
     let mut naive_hash = 0u64;
     let mut accel_hash = 0u64;
+    let naive = RenderJob::new(&w.volume, block, &w.transfer, &cam, params);
+    let fast = RenderJob {
+        accel: accel.as_ref(),
+        tile,
+        ..naive
+    };
     for _ in 0..reps {
         let mut sw = Stopwatch::new();
-        let img = sw.time(|| render_block(&w.volume, &block, &w.transfer, &cam, &params));
+        let img = sw.time(|| render_image(&naive, None));
         naive_hash = fnv1a(&img);
         std::hint::black_box(img.non_blank_count());
         naive_ns.push(sw.seconds() * 1e9);
 
         let mut sw = Stopwatch::new();
-        let img = sw.time(|| {
-            render_block_accel(
-                &w.volume,
-                &block,
-                &w.transfer,
-                &cam,
-                &params,
-                accel.as_ref(),
-                tile,
-            )
-        });
+        let img = sw.time(|| render_image(&fast, None));
         accel_hash = fnv1a(&img);
         std::hint::black_box(img.non_blank_count());
         accel_ns.push(sw.seconds() * 1e9);
@@ -327,32 +330,24 @@ fn bench_threaded(
     let mut threaded_ns = Vec::with_capacity(reps);
     let mut accel1_hash = 0u64;
     let mut threaded_hash = 0u64;
+    let scalar = RenderJob {
+        accel: accel.as_ref(),
+        tile,
+        ..RenderJob::new(&w.volume, block, &w.transfer, &cam, scalar_params)
+    };
+    let laned = RenderJob {
+        params: lane_params,
+        ..scalar
+    };
     for _ in 0..reps {
         let t0 = std::time::Instant::now();
-        let img = render_block_accel(
-            &w.volume,
-            &block,
-            &w.transfer,
-            &cam,
-            &scalar_params,
-            accel.as_ref(),
-            tile,
-        );
+        let img = render_image(&scalar, None);
         accel1_hash = fnv1a(&img);
         std::hint::black_box(img.non_blank_count());
         accel1_ns.push(t0.elapsed().as_secs_f64() * 1e9);
 
         let t0 = std::time::Instant::now();
-        let img = render_block_accel_pool(
-            &w.volume,
-            &block,
-            &w.transfer,
-            &cam,
-            &lane_params,
-            accel.as_ref(),
-            tile,
-            Some(pool),
-        );
+        let img = render_image(&laned, Some(pool));
         threaded_hash = fnv1a(&img);
         std::hint::black_box(img.non_blank_count());
         threaded_ns.push(t0.elapsed().as_secs_f64() * 1e9);

@@ -20,7 +20,7 @@
 //! | `encode`  | [`MaskRle::encode_mask`] (the paper's `T_encode`)  | pixels  |
 //! | `scan`    | [`scan_runs_into`] run scanning                  | pixels    |
 //! | `message` | [`encode_frame`] + [`decode_frame`] round trip   | bytes     |
-//! | `render`  | [`render_block`] naive ray casting               | samples   |
+//! | `render`  | [`vr_render::render`] naive ray casting          | samples   |
 //!
 //! `message`'s fitted intercept is the per-message start-up charge
 //! (`T_s`) and its slope the per-byte charge (`T_c`); every other op
@@ -32,7 +32,7 @@ use vr_comm::frame::{decode_frame, encode_frame};
 use vr_image::kernel::scan_runs_into;
 use vr_image::rle::RunSet;
 use vr_image::{Image, MaskRle, Pixel, Rect};
-use vr_render::{render_block, Camera, RenderParams};
+use vr_render::{Camera, RenderJob, RenderParams};
 use vr_volume::{kd_partition, Dataset, DatasetKind};
 
 use crate::fit::FitResult;
@@ -356,8 +356,10 @@ pub fn run_sweep(quick: bool, reps: usize) -> SweepData {
             render.samples.push((
                 vec![samples],
                 time_op(reps.min(3), 1, || {
-                    let img =
-                        render_block(&dataset.volume, block, &dataset.transfer, &camera, &params);
+                    let job =
+                        RenderJob::new(&dataset.volume, *block, &dataset.transfer, &camera, params);
+                    let mut img = Image::blank(side, side);
+                    vr_render::render(&job, None, &mut img);
                     std::hint::black_box(img.non_blank_count());
                 }),
             ));

@@ -1,8 +1,9 @@
 //! Rendering-phase acceleration: macrocell empty-space skipping, an exact
 //! transfer-function LUT, and tiled footprint traversal.
 //!
-//! Everything in this module is **bit-identical** to the naive ray caster
-//! by construction, not by tolerance:
+//! The accelerated path through [`render`](crate::render) (the walk
+//! itself lives in `raycast`) is **bit-identical** to the naive ray
+//! caster by construction, not by tolerance:
 //!
 //! * The sample parameter `t` advances through the *same* sequence of
 //!   `t += step` additions as the naive loop, even across skipped cells
@@ -31,15 +32,13 @@
 //! The differential proptests in `tests/proptests.rs` enforce the
 //! bit-identity end to end.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use vr_image::{Image, Pixel, Rect};
-use vr_volume::{MacrocellGrid, Subvolume, TransferFunction, Vec3, Volume};
+use vr_image::Rect;
+use vr_volume::{MacrocellGrid, Subvolume, TransferFunction};
 
 use crate::camera::Camera;
-use crate::params::{RenderParams, MAX_SIMD_LANES};
-use crate::pool::RenderPool;
-use crate::raycast::shade;
+use crate::params::RenderParams;
 
 /// Default screen-tile edge length, in pixels.
 pub const DEFAULT_TILE_SIZE: usize = 32;
@@ -224,7 +223,7 @@ impl RenderAccel {
     }
 
     #[inline]
-    fn is_active(&self, cx: usize, cy: usize, cz: usize) -> bool {
+    pub(crate) fn is_active(&self, cx: usize, cy: usize, cz: usize) -> bool {
         self.active[self.grid.cell_index(cx, cy, cz)]
     }
 
@@ -365,565 +364,17 @@ impl TileMask {
     }
 
     #[inline]
-    fn tile_marked(&self, tx: usize, ty: usize) -> bool {
+    pub(crate) fn tile_marked(&self, tx: usize, ty: usize) -> bool {
         self.bits[ty * self.tx + tx]
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Unified clipped renderer
-// ---------------------------------------------------------------------------
-
-/// Renders rays through `clip` (global voxel coordinates), sampling from
-/// `volume` which sits at `placement` in the global grid. This is the one
-/// integration loop behind both the shared-volume and the local-block
-/// render paths; `accel = None, tile = 0` is the naive reference,
-/// `Some(accel)` enables macrocell skipping, and `tile >= 1` additionally
-/// culls whole screen tiles after a macrocell prescan.
-///
-/// Honors `params.render_threads` by spinning up a transient
-/// [`RenderPool`]; callers with a persistent pool should use
-/// [`render_clipped_into_pool`].
-#[allow(clippy::too_many_arguments)]
-pub fn render_clipped_into(
-    volume: &Volume,
-    placement: &Subvolume,
-    clip: &Subvolume,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-    accel: Option<&RenderAccel>,
-    tile: usize,
-    image: &mut Image,
-) {
-    render_clipped_into_pool(
-        volume, placement, clip, transfer, camera, params, accel, tile, None, image,
-    );
-}
-
-/// [`render_clipped_into`] with an optional persistent [`RenderPool`]
-/// for the banded tile scheduler. With more than one render thread —
-/// from the pool, or from `params.render_threads` when no pool is given
-/// (a transient pool is spun up) — the live screen tiles (or row bands,
-/// when tile culling is off) are fanned across the threads, each item
-/// writing only its own disjoint pixel rows. Every configuration is
-/// **bit-identical** to the single-threaded render.
-#[allow(clippy::too_many_arguments)]
-pub fn render_clipped_into_pool(
-    volume: &Volume,
-    placement: &Subvolume,
-    clip: &Subvolume,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-    accel: Option<&RenderAccel>,
-    tile: usize,
-    pool: Option<&RenderPool>,
-    image: &mut Image,
-) {
-    // Tiles larger than the image index space degenerate to one tile.
-    let tile = tile.min(u16::MAX as usize);
-    assert_eq!(
-        volume.dims(),
-        placement.dims,
-        "local volume must match the placement dims"
-    );
-    for axis in 0..3 {
-        assert!(
-            clip.origin[axis] >= placement.origin[axis]
-                && clip.origin[axis] + clip.dims[axis]
-                    <= placement.origin[axis] + placement.dims[axis],
-            "clip box must lie inside the placement box"
-        );
-    }
-    if let Some(acc) = accel {
-        assert_eq!(
-            acc.grid().dims(),
-            volume.dims(),
-            "acceleration grid was built for a different volume"
-        );
-    }
-    let frame = Vec3::new(
-        placement.origin[0] as f32,
-        placement.origin[1] as f32,
-        placement.origin[2] as f32,
-    );
-    let lo = Vec3::new(
-        clip.origin[0] as f32,
-        clip.origin[1] as f32,
-        clip.origin[2] as f32,
-    );
-    let hi = lo
-        + Vec3::new(
-            clip.dims[0] as f32,
-            clip.dims[1] as f32,
-            clip.dims[2] as f32,
-        );
-    let footprint = camera.footprint(clip.origin, clip.dims);
-
-    let cast = |x: u16, y: u16| -> Option<Pixel> {
-        let (t0, t1) = camera.ray_box(x, y, lo, hi)?;
-        let p = integrate(volume, frame, transfer, camera, params, accel, x, y, t0, t1);
-        (!p.is_blank()).then_some(p)
-    };
-
-    // Work decomposition: the pixel rect of every live tile in tiled
-    // mode, fixed-height row bands otherwise. Threaded or not, the same
-    // items are traversed in the same per-item pixel order; threading
-    // only changes which thread runs which item, and no two items share
-    // a pixel.
-    let items = match accel {
-        Some(acc) if tile >= 1 => {
-            let mask = acc.tile_mask(camera, placement.origin, clip, tile);
-            if !mask.any() {
-                return;
-            }
-            tile_items(&footprint, &mask)
-        }
-        _ => row_bands(&footprint, DEFAULT_TILE_SIZE as u16),
-    };
-
-    let transient;
-    let pool = match pool {
-        Some(p) => Some(p),
-        None if params.render_threads > 1 => {
-            transient = RenderPool::new(params.render_threads);
-            Some(&transient)
-        }
-        None => None,
-    };
-    match pool {
-        Some(pool) if pool.threads() > 1 && items.len() > 1 => {
-            render_items_pooled(image, &items, pool, &cast);
-        }
-        _ => {
-            for r in &items {
-                for y in r.y0..r.y1 {
-                    for x in r.x0..r.x1 {
-                        if let Some(p) = cast(x, y) {
-                            image.set(x, y, p);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Renders the screen pixels of `rect` into the rect-sized image `out`
-/// (screen pixel `(x, y)` lands at `(x - rect.x0, y - rect.y0)`),
-/// casting exactly the rays the full clipped render would cast for that
-/// region — per-pixel output is bit-identical to the corresponding
-/// region of [`render_clipped_into`]. This is the streamed-compositing
-/// production hook: the fused render+composite runner renders each
-/// screen tile into its own buffer (fanned across a pool) and ships it
-/// the moment it completes, without waiting for the whole subimage.
-#[allow(clippy::too_many_arguments)]
-pub fn render_tile_into(
-    volume: &Volume,
-    placement: &Subvolume,
-    clip: &Subvolume,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-    accel: Option<&RenderAccel>,
-    rect: &Rect,
-    out: &mut Image,
-) {
-    assert_eq!(
-        volume.dims(),
-        placement.dims,
-        "local volume must match the placement dims"
-    );
-    assert!(
-        out.width() >= rect.width() && out.height() >= rect.height(),
-        "output buffer smaller than the tile rect"
-    );
-    let frame = Vec3::new(
-        placement.origin[0] as f32,
-        placement.origin[1] as f32,
-        placement.origin[2] as f32,
-    );
-    let lo = Vec3::new(
-        clip.origin[0] as f32,
-        clip.origin[1] as f32,
-        clip.origin[2] as f32,
-    );
-    let hi = lo
-        + Vec3::new(
-            clip.dims[0] as f32,
-            clip.dims[1] as f32,
-            clip.dims[2] as f32,
-        );
-    // Only the block's screen footprint can contribute; the rest of the
-    // tile stays blank exactly as in the full render.
-    let region = camera.footprint(clip.origin, clip.dims).intersect(rect);
-    for y in region.y0..region.y1 {
-        for x in region.x0..region.x1 {
-            let Some((t0, t1)) = camera.ray_box(x, y, lo, hi) else {
-                continue;
-            };
-            let p = integrate(volume, frame, transfer, camera, params, accel, x, y, t0, t1);
-            if !p.is_blank() {
-                out.set(x - rect.x0, y - rect.y0, p);
-            }
-        }
-    }
-}
-
-/// Collects the pixel rectangle of every *live* screen tile: marked in
-/// `mask` and overlapping `footprint`. Every live tile is emitted
-/// exactly once, dead tiles are never emitted, and edge tiles are
-/// clamped to the footprint (whose width and height need not divide the
-/// tile size). The rectangles are pairwise disjoint — the basis of the
-/// threaded renderer's lock-free disjoint-write guarantee.
-fn tile_items(footprint: &Rect, mask: &TileMask) -> Vec<Rect> {
-    let mut items = Vec::new();
-    if footprint.is_empty() {
-        return items;
-    }
-    let ts = mask.tile_size() as u16;
-    let ty0 = footprint.y0 / ts;
-    let tx0 = footprint.x0 / ts;
-    for tyi in ty0..=(footprint.y1.saturating_sub(1) / ts) {
-        for txi in tx0..=(footprint.x1.saturating_sub(1) / ts) {
-            if !mask.tile_marked(txi as usize, tyi as usize) {
-                continue;
-            }
-            let r = footprint.intersect(&Rect::new(
-                txi * ts,
-                tyi * ts,
-                (txi + 1).saturating_mul(ts).min(footprint.x1),
-                (tyi + 1).saturating_mul(ts).min(footprint.y1),
-            ));
-            if !r.is_empty() {
-                items.push(r);
-            }
-        }
-    }
-    items
-}
-
-/// Splits `footprint` into horizontal bands of at most `rows` pixel rows
-/// — the work decomposition when tile culling is off. Bands partition
-/// the footprint: disjoint, covering, in top-to-bottom order.
-fn row_bands(footprint: &Rect, rows: u16) -> Vec<Rect> {
-    let mut bands = Vec::new();
-    if footprint.is_empty() {
-        return bands;
-    }
-    let rows = rows.max(1);
-    let mut y = footprint.y0;
-    while y < footprint.y1 {
-        let y1 = footprint.y1.min(y.saturating_add(rows));
-        bands.push(Rect::new(footprint.x0, y, footprint.x1, y1));
-        y = y1;
-    }
-    bands
-}
-
-/// Raw shared view of an image's pixel buffer for the disjoint-rect
-/// writers of the threaded render.
-struct SharedPixels {
-    ptr: *mut Pixel,
-    width: usize,
-}
-
-// SAFETY: every write targets a pixel owned by exactly one work item
-// (the item rects are pairwise disjoint), so concurrent use never
-// aliases a pixel.
-unsafe impl Sync for SharedPixels {}
-
-impl SharedPixels {
-    /// # Safety
-    /// `(x, y)` must lie inside the calling work item's own rect.
-    unsafe fn write(&self, x: u16, y: u16, p: Pixel) {
-        unsafe { *self.ptr.add(y as usize * self.width + x as usize) = p };
-    }
-}
-
-/// Fans disjoint-rect work items across the pool. Each item writes only
-/// its own pixels, so the framebuffer needs no locking: items write
-/// through a shared raw pointer, and each records the tight bounds of
-/// its non-blank writes. The merged bounds re-arm the image's O(1)
-/// bounding-rect hint with exactly the rectangle the sequential render
-/// would have grown through `Image::set` (only non-blank pixels are ever
-/// written, so bounds only grow and the merge order is immaterial).
-fn render_items_pooled(
-    image: &mut Image,
-    items: &[Rect],
-    pool: &RenderPool,
-    cast: &(dyn Fn(u16, u16) -> Option<Pixel> + Sync),
-) {
-    // Tight bounds of any pre-existing content, captured before raw
-    // buffer access drops the image's hint.
-    let prior = image.bounding_rect();
-    let width = image.width() as usize;
-    let shared = SharedPixels {
-        ptr: image.pixels_mut().as_mut_ptr(),
-        width,
-    };
-    let item_bounds: Vec<Mutex<Rect>> = items.iter().map(|_| Mutex::new(Rect::EMPTY)).collect();
-    pool.run(items.len(), &|i| {
-        let r = items[i];
-        let mut bounds = Rect::EMPTY;
-        for y in r.y0..r.y1 {
-            for x in r.x0..r.x1 {
-                if let Some(p) = cast(x, y) {
-                    // SAFETY: (x, y) lies inside item i's rect, and the
-                    // item rects are pairwise disjoint, so no other
-                    // thread ever touches this pixel.
-                    unsafe { shared.write(x, y, p) };
-                    bounds.include(x, y);
-                }
-            }
-        }
-        *item_bounds[i].lock().unwrap() = bounds;
-    });
-    let merged = item_bounds
-        .into_iter()
-        .fold(prior, |acc, b| acc.union(&b.into_inner().unwrap()));
-    image.assert_bounds(merged);
-}
-
-/// One ray-sample step: classify, shade, accumulate. Returns `true` when
-/// early ray termination fires. Shared verbatim by the naive and the
-/// accelerated loops so their contributing samples run identical code.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn sample_step(
-    volume: &Volume,
-    pos: Vec3,
-    classify: (f32, f32),
-    params: &RenderParams,
-    color: &mut [f32; 3],
-    alpha: &mut f32,
-) -> bool {
-    let (intensity, alpha_unit) = classify;
-    let a = params.step_opacity(alpha_unit);
-    if a > params.opacity_cutoff {
-        let shaded = shade(volume, pos, intensity, params);
-        let w = (1.0 - *alpha) * a;
-        color[0] += w * shaded * params.tint[0];
-        color[1] += w * shaded * params.tint[1];
-        color[2] += w * shaded * params.tint[2];
-        *alpha += w;
-        if *alpha >= params.early_termination_alpha {
-            return true;
-        }
-    }
-    false
-}
-
-/// Integrates one ray over `[t0, t1]` front-to-back, optionally walking
-/// macrocells to skip provably transparent stretches.
-#[allow(clippy::too_many_arguments)]
-fn integrate(
-    volume: &Volume,
-    frame: Vec3,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-    accel: Option<&RenderAccel>,
-    x: u16,
-    y: u16,
-    t0: f32,
-    t1: f32,
-) -> Pixel {
-    let (ray_o, dir) = camera.ray(x, y);
-    let mut color = [0.0f32; 3];
-    let mut alpha = 0.0f32;
-    // Start half a step in so samples sit inside the slab.
-    let mut t = t0 + params.step * 0.5;
-    match accel {
-        None => {
-            while t < t1 {
-                let pos = ray_o + dir * t - frame;
-                let c = transfer.classify(volume.sample(pos));
-                if sample_step(volume, pos, c, params, &mut color, &mut alpha) {
-                    break;
-                }
-                t += params.step;
-            }
-        }
-        Some(acc) => {
-            let grid = acc.grid();
-            let lut = acc.lut();
-            // Amanatides–Woo DDA over the macrocell grid. The walk is
-            // incremental — one add and a three-way min per crossing —
-            // instead of re-deriving the cell and its slab exit from
-            // scratch each time. Cell attribution therefore comes from
-            // the parametric crossing values, whose ulp-level deviation
-            // from the geometric cell is covered by the macrocell
-            // margins; sample positions are untouched.
-            let admit_zero = params.opacity_cutoff < 0.0;
-            let lanes = params.simd_lanes.clamp(1, MAX_SIMD_LANES);
-            let o = [ray_o.x - frame.x, ray_o.y - frame.y, ray_o.z - frame.z];
-            let d = [dir.x, dir.y, dir.z];
-            let cs = grid.cell_size() as f32;
-            let inv_cs = 1.0 / cs;
-            let cells = grid.cells();
-            let mut c = [
-                cell_at(o[0] + d[0] * t, inv_cs, cells[0]),
-                cell_at(o[1] + d[1] * t, inv_cs, cells[1]),
-                cell_at(o[2] + d[2] * t, inv_cs, cells[2]),
-            ];
-            // Per-axis crossing parameter and its per-cell increment.
-            let mut t_max = [f32::INFINITY; 3];
-            let mut t_delta = [f32::INFINITY; 3];
-            let mut c_step = [0isize; 3];
-            for axis in 0..3 {
-                let dv = d[axis];
-                if dv.abs() < 1e-12 {
-                    continue;
-                }
-                let inv = 1.0 / dv;
-                c_step[axis] = if dv > 0.0 { 1 } else { -1 };
-                t_delta[axis] = cs * inv.abs();
-                let bound = if dv > 0.0 {
-                    (c[axis] + 1) as f32 * cs
-                } else {
-                    c[axis] as f32 * cs
-                };
-                t_max[axis] = (bound - o[axis]) * inv;
-            }
-            'ray: while t < t1 {
-                let t_seg = t_max[0].min(t_max[1]).min(t_max[2]).min(t1);
-                if t < t_seg {
-                    if acc.is_active(c[0], c[1], c[2]) {
-                        if lanes > 1 {
-                            // Lane-batched sampling: gather up to `lanes`
-                            // sample parameters through the *exact* scalar
-                            // `t += step` chain, evaluate density and unit
-                            // opacity in fixed-width array lanes the
-                            // autovectorizer can lift, then classify and
-                            // accumulate strictly in scalar order. Early
-                            // termination merely discards the precomputed
-                            // (side-effect-free) later lanes, so the
-                            // front-to-back `over` chain replays the
-                            // scalar chain bit-for-bit.
-                            loop {
-                                let mut tv = [0.0f32; MAX_SIMD_LANES];
-                                let mut n = 0;
-                                loop {
-                                    tv[n] = t;
-                                    n += 1;
-                                    t += params.step;
-                                    if n == lanes || t >= t_seg {
-                                        break;
-                                    }
-                                }
-                                let mut density = [0.0f32; MAX_SIMD_LANES];
-                                for (dst, &tl) in density[..n].iter_mut().zip(&tv[..n]) {
-                                    *dst = volume.sample(ray_o + dir * tl - frame);
-                                }
-                                let mut unit = [0.0f32; MAX_SIMD_LANES];
-                                for (dst, &dl) in unit[..n].iter_mut().zip(&density[..n]) {
-                                    *dst = lut.opacity(dl).clamp(0.0, 1.0);
-                                }
-                                for i in 0..n {
-                                    if unit[i] > 0.0 || admit_zero {
-                                        let pos = ray_o + dir * tv[i] - frame;
-                                        let cl = (lut.intensity(density[i]), unit[i]);
-                                        if sample_step(
-                                            volume, pos, cl, params, &mut color, &mut alpha,
-                                        ) {
-                                            break 'ray;
-                                        }
-                                    }
-                                }
-                                if t >= t_seg {
-                                    break;
-                                }
-                            }
-                        } else {
-                            // Scalar reference: sample through the cell
-                            // with the naive body, except that samples
-                            // whose unit opacity is exactly zero skip it:
-                            // they would compute a per-sample opacity of
-                            // `1 − 1^step = 0`, which never passes a
-                            // non-negative cutoff, so the naive body is a
-                            // no-op for them (negative cutoffs disable the
-                            // shortcut via `admit_zero`).
-                            loop {
-                                let pos = ray_o + dir * t - frame;
-                                let density = volume.sample(pos);
-                                let alpha_unit = lut.opacity(density).clamp(0.0, 1.0);
-                                if alpha_unit > 0.0 || admit_zero {
-                                    let cl = (lut.intensity(density), alpha_unit);
-                                    if sample_step(volume, pos, cl, params, &mut color, &mut alpha)
-                                    {
-                                        break 'ray;
-                                    }
-                                }
-                                t += params.step;
-                                if t >= t_seg {
-                                    break;
-                                }
-                            }
-                        }
-                    } else if t_seg >= t1 {
-                        // Fast exit: the ray leaves through provably
-                        // empty space — no later sample exists, so `t`
-                        // need not be replayed to the end.
-                        break 'ray;
-                    } else {
-                        // Replay the naive `t += step` sequence without
-                        // sampling, keeping later samples bit-equal.
-                        loop {
-                            t += params.step;
-                            if t >= t_seg {
-                                break;
-                            }
-                        }
-                    }
-                }
-                // Step across the nearest cell boundary (clamped at the
-                // grid border; `t_max` still advances, so the walk always
-                // terminates).
-                let axis = if t_max[0] <= t_max[1] {
-                    if t_max[0] <= t_max[2] {
-                        0
-                    } else {
-                        2
-                    }
-                } else if t_max[1] <= t_max[2] {
-                    1
-                } else {
-                    2
-                };
-                let nc = c[axis] as isize + c_step[axis];
-                c[axis] = nc.clamp(0, cells[axis] as isize - 1) as usize;
-                t_max[axis] += t_delta[axis];
-            }
-        }
-    }
-    Pixel::new(
-        color[0].clamp(0.0, 1.0),
-        color[1].clamp(0.0, 1.0),
-        color[2].clamp(0.0, 1.0),
-        alpha.clamp(0.0, 1.0),
-    )
-}
-
-/// Maps a grid-local coordinate to a cell index, clamped into the grid.
-/// Multiplies by the precomputed reciprocal cell size; any ulp-level
-/// divergence from an exact division lands within the macrocell margins.
-#[inline]
-fn cell_at(coord: f32, inv_cs: f32, n: usize) -> usize {
-    let c = (coord * inv_cs).floor();
-    if c <= 0.0 {
-        0
-    } else {
-        (c as usize).min(n - 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vr_image::checksum::fnv1a;
-    use vr_volume::{Dataset, DatasetKind};
+    use crate::raycast::{render, RenderJob};
+    use vr_image::Image;
+    use vr_volume::{Dataset, DatasetKind, Volume};
 
     fn whole(dims: [usize; 3]) -> Subvolume {
         Subvolume {
@@ -972,126 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn tile_render_matches_full_render_per_region() {
-        // Rendering each 16-px screen tile into its own buffer must
-        // reproduce the corresponding region of the full clipped render
-        // bit-for-bit, with and without the accelerator, for clips that
-        // cover only part of the screen.
-        let dims = [32, 32, 16];
-        let ds = Dataset::with_dims(DatasetKind::EngineLow, dims);
-        let cam = Camera::orbit(dims, 64, 64, 20.0, 30.0);
-        let params = RenderParams::default();
-        let acc = RenderAccel::new(ds.macrocell_grid(8), &ds.transfer, &params);
-        let clips = [
-            whole(dims),
-            Subvolume {
-                rank: 1,
-                origin: [8, 0, 4],
-                dims: [16, 32, 8],
-            },
-        ];
-        for clip in &clips {
-            for accel in [None, Some(&acc)] {
-                let mut full = Image::blank(64, 64);
-                render_clipped_into(
-                    &ds.volume,
-                    &whole(dims),
-                    clip,
-                    &ds.transfer,
-                    &cam,
-                    &params,
-                    accel,
-                    0,
-                    &mut full,
-                );
-                let ts = 16u16;
-                let mut y = 0u16;
-                while y < 64 {
-                    let mut x = 0u16;
-                    while x < 64 {
-                        let rect = Rect::new(x, y, (x + ts).min(64), (y + ts).min(64));
-                        let mut tile = Image::blank(rect.width(), rect.height());
-                        render_tile_into(
-                            &ds.volume,
-                            &whole(dims),
-                            clip,
-                            &ds.transfer,
-                            &cam,
-                            &params,
-                            accel,
-                            &rect,
-                            &mut tile,
-                        );
-                        let bits =
-                            |p: Pixel| (p.r.to_bits(), p.g.to_bits(), p.b.to_bits(), p.a.to_bits());
-                        for ty in 0..rect.height() {
-                            for tx in 0..rect.width() {
-                                let a = tile.get(tx, ty);
-                                let b = full.get(rect.x0 + tx, rect.y0 + ty);
-                                assert_eq!(
-                                    bits(a),
-                                    bits(b),
-                                    "pixel ({}, {}) diverged (accel {})",
-                                    rect.x0 + tx,
-                                    rect.y0 + ty,
-                                    accel.is_some(),
-                                );
-                            }
-                        }
-                        x += ts;
-                    }
-                    y += ts;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn accelerated_render_is_bit_identical_on_datasets() {
-        let dims = [32, 32, 16];
-        for kind in DatasetKind::all() {
-            let ds = Dataset::with_dims(kind, dims);
-            let cam = Camera::orbit(dims, 64, 64, 20.0, 30.0);
-            let params = RenderParams::default();
-            let mut naive = Image::blank(64, 64);
-            render_clipped_into(
-                &ds.volume,
-                &whole(dims),
-                &whole(dims),
-                &ds.transfer,
-                &cam,
-                &params,
-                None,
-                0,
-                &mut naive,
-            );
-            for cell in [4, 8, 16] {
-                let acc = RenderAccel::new(ds.macrocell_grid(cell), &ds.transfer, &params);
-                for tile in [0, 8, 32] {
-                    let mut fast = Image::blank(64, 64);
-                    render_clipped_into(
-                        &ds.volume,
-                        &whole(dims),
-                        &whole(dims),
-                        &ds.transfer,
-                        &cam,
-                        &params,
-                        Some(&acc),
-                        tile,
-                        &mut fast,
-                    );
-                    assert_eq!(
-                        fnv1a(&naive),
-                        fnv1a(&fast),
-                        "{kind:?} cell={cell} tile={tile} diverged"
-                    );
-                    assert_eq!(naive.bounding_rect(), fast.bounding_rect());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn inactive_cells_reflect_transfer_window() {
         // The hollow Cube only carries density on its edge frame: with
         // cells fine enough to resolve the interior, most cells must be
@@ -1134,17 +465,8 @@ mod tests {
         let cam = Camera::orbit(dims, 96, 96, 25.0, 40.0);
         let params = RenderParams::default();
         let mut naive = Image::blank(96, 96);
-        render_clipped_into(
-            &ds.volume,
-            &whole(dims),
-            &whole(dims),
-            &ds.transfer,
-            &cam,
-            &params,
-            None,
-            0,
-            &mut naive,
-        );
+        let job = RenderJob::new(&ds.volume, whole(dims), &ds.transfer, &cam, params);
+        render(&job, None, &mut naive);
         let acc = RenderAccel::new(ds.macrocell_grid(8), &ds.transfer, &params);
         let mask = acc.tile_mask(&cam, [0, 0, 0], &whole(dims), 16);
         for y in 0..96u16 {
@@ -1159,166 +481,6 @@ mod tests {
         }
         // The Cube sample is sparse: culling must actually drop tiles.
         assert!(mask.marked_count() < mask.len());
-    }
-
-    /// The live-tile work plan for a standard scene: every live tile
-    /// scheduled exactly once, dead tiles never scheduled, and the
-    /// scheduled rects exactly tile the live part of the footprint.
-    #[test]
-    fn tile_items_schedules_live_tiles_exactly_once_and_dead_tiles_never() {
-        let dims = [48, 48, 24];
-        let ds = Dataset::with_dims(DatasetKind::Cube, dims);
-        let cam = Camera::orbit(dims, 96, 96, 25.0, 40.0);
-        let params = RenderParams::default();
-        let acc = RenderAccel::new(ds.macrocell_grid(8), &ds.transfer, &params);
-        let mask = acc.tile_mask(&cam, [0, 0, 0], &whole(dims), 16);
-        // The Cube is sparse: the plan must really have dead tiles to skip.
-        assert!(mask.marked_count() < mask.len());
-        let footprint = cam.footprint([0, 0, 0], dims);
-        let ts = mask.tile_size() as u16;
-        let items = tile_items(&footprint, &mask);
-
-        let mut seen = std::collections::HashSet::new();
-        for r in &items {
-            assert!(!r.is_empty());
-            assert!(footprint.contains_rect(r), "item {r:?} leaks the footprint");
-            // Each item lies inside exactly one tile…
-            let (txi, tyi) = (r.x0 / ts, r.y0 / ts);
-            assert_eq!((txi, tyi), ((r.x1 - 1) / ts, (r.y1 - 1) / ts));
-            // …that tile is live…
-            assert!(
-                mask.tile_marked(txi as usize, tyi as usize),
-                "dead tile ({txi},{tyi}) was scheduled"
-            );
-            // …and is scheduled at most once.
-            assert!(
-                seen.insert((txi, tyi)),
-                "tile ({txi},{tyi}) scheduled twice"
-            );
-        }
-        // Exactly once: every live footprint pixel is covered by exactly
-        // one item (disjointness follows from the per-tile uniqueness
-        // above), and dead-tile pixels by none.
-        for y in footprint.y0..footprint.y1 {
-            for x in footprint.x0..footprint.x1 {
-                let n = items.iter().filter(|r| r.contains(x, y)).count();
-                assert_eq!(n, usize::from(mask.covers(x, y)), "pixel ({x},{y})");
-            }
-        }
-    }
-
-    /// Edge tiles of a footprint whose width/height is not a multiple of
-    /// the tile size must come out clamped, not skipped or overflowing.
-    #[test]
-    fn tile_items_clamps_edge_tiles_on_non_multiple_footprints() {
-        let dims = [40, 40, 20];
-        let ds = Dataset::with_dims(DatasetKind::EngineLow, dims);
-        // 70×54 image: neither side is divisible by the 32-px tile.
-        let cam = Camera::orbit(dims, 70, 54, 15.0, 25.0);
-        let params = RenderParams::default();
-        let acc = RenderAccel::new(ds.macrocell_grid(8), &ds.transfer, &params);
-        let mask = acc.tile_mask(&cam, [0, 0, 0], &whole(dims), 32);
-        let footprint = cam.footprint([0, 0, 0], dims);
-        // The fitted orbit footprint must straddle a 32-px tile boundary
-        // and end off-boundary on both axes, or this test would not
-        // exercise clamping.
-        assert!(
-            footprint.x0 < 32 && footprint.x1 > 32 && !footprint.x1.is_multiple_of(32),
-            "footprint {footprint:?}"
-        );
-        assert!(
-            footprint.y0 < 32 && footprint.y1 > 32 && !footprint.y1.is_multiple_of(32),
-            "footprint {footprint:?}"
-        );
-        let items = tile_items(&footprint, &mask);
-        assert!(!items.is_empty());
-        for r in &items {
-            assert!(footprint.contains_rect(r), "item {r:?} leaks the footprint");
-        }
-        // The clamped edge tiles are present (partial width and height).
-        assert!(items.iter().any(|r| r.x1 == footprint.x1 && r.width() < 32));
-        assert!(items
-            .iter()
-            .any(|r| r.y1 == footprint.y1 && r.height() < 32));
-        // And the plan still covers every live pixel exactly once.
-        for y in footprint.y0..footprint.y1 {
-            for x in footprint.x0..footprint.x1 {
-                let n = items.iter().filter(|r| r.contains(x, y)).count();
-                assert_eq!(n, usize::from(mask.covers(x, y)), "pixel ({x},{y})");
-            }
-        }
-    }
-
-    /// The untiled decomposition partitions the footprint into bands with
-    /// no gap or overlap at band seams (the `scan_runs` chunk-seam idiom
-    /// from `vr_image::kernel`, applied to rows).
-    #[test]
-    fn row_bands_partition_without_seam_gaps_or_overlaps() {
-        for (w, h) in [(1u16, 1u16), (7, 31), (64, 32), (13, 33), (70, 54), (5, 65)] {
-            let footprint = Rect::new(3.min(w - 1), 0, w, h);
-            let bands = row_bands(&footprint, 32);
-            // Bands are in order, disjoint, and exactly cover the rows.
-            let mut y = footprint.y0;
-            for b in &bands {
-                assert_eq!((b.x0, b.x1), (footprint.x0, footprint.x1));
-                assert_eq!(b.y0, y, "gap or overlap at band seam y={y}");
-                assert!(b.height() >= 1 && b.height() <= 32);
-                y = b.y1;
-            }
-            assert_eq!(y, footprint.y1, "{w}x{h} rows not fully covered");
-        }
-        assert!(row_bands(&Rect::EMPTY, 32).is_empty());
-    }
-
-    /// Threaded rendering at sizes that straddle tile boundaries by one
-    /// row/column must not drop or duplicate the seam rows: the banded
-    /// image is bit-identical to the sequential one, including the
-    /// recorded bounding rectangle.
-    #[test]
-    fn threaded_render_has_no_seam_rows_at_clamped_edges() {
-        let dims = [32, 32, 16];
-        let ds = Dataset::with_dims(DatasetKind::EngineLow, dims);
-        for (w, h) in [(70u16, 54u16), (33, 33), (64, 65)] {
-            let cam = Camera::orbit(dims, w, h, 20.0, 30.0);
-            let params = RenderParams::default();
-            let acc = RenderAccel::new(ds.macrocell_grid(8), &ds.transfer, &params);
-            for tile in [0usize, 32] {
-                let mut sequential = Image::blank(w, h);
-                render_clipped_into(
-                    &ds.volume,
-                    &whole(dims),
-                    &whole(dims),
-                    &ds.transfer,
-                    &cam,
-                    &params,
-                    Some(&acc),
-                    tile,
-                    &mut sequential,
-                );
-                let threaded_params = RenderParams {
-                    render_threads: 3,
-                    ..params
-                };
-                let mut threaded = Image::blank(w, h);
-                render_clipped_into(
-                    &ds.volume,
-                    &whole(dims),
-                    &whole(dims),
-                    &ds.transfer,
-                    &cam,
-                    &threaded_params,
-                    Some(&acc),
-                    tile,
-                    &mut threaded,
-                );
-                assert_eq!(
-                    fnv1a(&sequential),
-                    fnv1a(&threaded),
-                    "{w}x{h} tile={tile} diverged"
-                );
-                assert_eq!(sequential.bounding_rect(), threaded.bounding_rect());
-            }
-        }
     }
 
     #[test]

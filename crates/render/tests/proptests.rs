@@ -6,14 +6,47 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use vr_image::checksum::fnv1a;
-use vr_render::{
-    render_block, render_block_accel, render_block_accel_pool, render_local_block_clipped,
-    render_local_block_clipped_accel, render_local_block_clipped_accel_pool, Camera, Projection,
-    RenderAccel, RenderParams, RenderPool,
-};
+use vr_image::Image;
+use vr_render::{render, Camera, Projection, RenderAccel, RenderJob, RenderParams, RenderPool};
 use vr_volume::{kd_partition, MacrocellGrid, Subvolume, TransferFunction, Volume};
 
 const DIMS: [usize; 3] = [24, 24, 16];
+
+/// Renders `job` into a fresh full-size image.
+fn image_of(job: &RenderJob, pool: Option<&RenderPool>) -> Image {
+    let mut image = Image::blank(job.camera.width, job.camera.height);
+    render(job, pool, &mut image);
+    image
+}
+
+/// The naive shared-volume render of `block`.
+fn naive(
+    v: &Volume,
+    block: &Subvolume,
+    tf: &TransferFunction,
+    cam: &Camera,
+    params: &RenderParams,
+) -> Image {
+    image_of(&RenderJob::new(v, *block, tf, cam, *params), None)
+}
+
+/// The accelerated shared-volume render of `block`.
+fn accelerated(
+    v: &Volume,
+    block: &Subvolume,
+    tf: &TransferFunction,
+    cam: &Camera,
+    params: &RenderParams,
+    accel: &RenderAccel,
+    tile: usize,
+) -> Image {
+    let job = RenderJob {
+        accel: Some(accel),
+        tile,
+        ..RenderJob::new(v, *block, tf, cam, *params)
+    };
+    image_of(&job, None)
+}
 
 fn ball() -> Volume {
     Volume::from_fn(DIMS, |x, y, z| {
@@ -100,7 +133,7 @@ proptest! {
         let tf = TransferFunction::window(100.0, 200.0, 0.8);
         let part = kd_partition(DIMS, p);
         for block in part.subvolumes() {
-            let img = render_block(&v, block, &tf, &cam, &RenderParams::fast());
+            let img = naive(&v, block, &tf, &cam, &RenderParams::fast());
             let fp = cam.footprint(block.origin, block.dims);
             let bounds = img.bounding_rect();
             prop_assert!(
@@ -116,7 +149,7 @@ proptest! {
         let cam = Camera::orbit(DIMS, 48, 48, rx, ry);
         let tf = TransferFunction::window(100.0, 200.0, 0.8);
         let block = Subvolume { rank: 0, origin: [0, 0, 0], dims: DIMS };
-        let img = render_block(&v, &block, &tf, &cam, &RenderParams::fast());
+        let img = naive(&v, &block, &tf, &cam, &RenderParams::fast());
         prop_assert!(img.non_blank_count() > 0, "ball vanished at rot ({rx},{ry})");
         // All channels in range.
         for px in img.pixels() {
@@ -190,15 +223,15 @@ proptest! {
             ..RenderParams::fast()
         };
         let block = clip_box(dims, which);
-        let naive = render_block(&v, &block, &tf, &cam, &params);
+        let reference = naive(&v, &block, &tf, &cam, &params);
         let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&v, cell)), &tf, &params);
-        let fast = render_block_accel(&v, &block, &tf, &cam, &params, Some(&accel), tile);
+        let fast = accelerated(&v, &block, &tf, &cam, &params, &accel, tile);
         prop_assert_eq!(
-            fnv1a(&naive), fnv1a(&fast),
+            fnv1a(&reference), fnv1a(&fast),
             "diverged: seed={} cell={} tile={} which={} rot=({},{})",
             seed, cell, tile, which, rx, ry
         );
-        prop_assert_eq!(naive.bounding_rect(), fast.bounding_rect());
+        prop_assert_eq!(reference.bounding_rect(), fast.bounding_rect());
     }
 
     /// Degenerate 1-voxel-thin *whole volumes* (a flat slab along any
@@ -218,10 +251,10 @@ proptest! {
         let cam = Camera::orbit(dims, 32, 32, rx, ry);
         let params = RenderParams::fast();
         let block = Subvolume { rank: 0, origin: [0, 0, 0], dims };
-        let naive = render_block(&v, &block, &tf, &cam, &params);
+        let reference = naive(&v, &block, &tf, &cam, &params);
         let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&v, cell)), &tf, &params);
-        let fast = render_block_accel(&v, &block, &tf, &cam, &params, Some(&accel), tile);
-        prop_assert_eq!(fnv1a(&naive), fnv1a(&fast), "axis={} cell={}", axis, cell);
+        let fast = accelerated(&v, &block, &tf, &cam, &params, &accel, tile);
+        prop_assert_eq!(fnv1a(&reference), fnv1a(&fast), "axis={} cell={}", axis, cell);
     }
 
     /// The distributed-memory path: a locally held block placed at a
@@ -242,12 +275,11 @@ proptest! {
         let cam = Camera::orbit(gdims, 36, 36, rx, ry);
         let tf = TransferFunction::window(60.0, 140.0, 0.9);
         let params = RenderParams::fast();
-        let naive = render_local_block_clipped(&local, &placement, &clip, &tf, &cam, &params);
+        let job = RenderJob { placement, ..RenderJob::new(&local, clip, &tf, &cam, params) };
+        let reference = image_of(&job, None);
         let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&local, cell)), &tf, &params);
-        let fast = render_local_block_clipped_accel(
-            &local, &placement, &clip, &tf, &cam, &params, Some(&accel), tile,
-        );
-        prop_assert_eq!(fnv1a(&naive), fnv1a(&fast), "cell={} tile={}", cell, tile);
+        let fast = image_of(&RenderJob { accel: Some(&accel), tile, ..job }, None);
+        prop_assert_eq!(fnv1a(&reference), fnv1a(&fast), "cell={} tile={}", cell, tile);
     }
 
     /// The threading/SIMD tentpole invariant: `render(threads=t,
@@ -287,21 +319,24 @@ proptest! {
             &reference_params,
         );
         let reference =
-            render_block_accel(&v, &block, &tf, &cam, &reference_params, Some(&accel), tile);
-        let naive = render_block(&v, &block, &tf, &cam, &reference_params);
+            accelerated(&v, &block, &tf, &cam, &reference_params, &accel, tile);
+        let scalar = naive(&v, &block, &tf, &cam, &reference_params);
 
         let params = RenderParams {
             simd_lanes: lanes,
             ..reference_params
         };
+        let job = RenderJob {
+            accel: Some(&accel),
+            tile,
+            ..RenderJob::new(&v, block, &tf, &cam, params)
+        };
         // A persistent pool, as Experiment::prepare and serve use it…
         let pool = RenderPool::new(threads);
-        let pooled =
-            render_block_accel_pool(&v, &block, &tf, &cam, &params, Some(&accel), tile, Some(&pool));
+        let pooled = image_of(&job, Some(&pool));
         // …and the transient render_threads knob must agree with it.
         let knob_params = RenderParams { render_threads: threads, ..params };
-        let transient =
-            render_block_accel(&v, &block, &tf, &cam, &knob_params, Some(&accel), tile);
+        let transient = image_of(&RenderJob { params: knob_params, ..job }, None);
 
         prop_assert_eq!(
             fnv1a(&reference), fnv1a(&pooled),
@@ -313,7 +348,7 @@ proptest! {
             "transient diverged: seed={} threads={} lanes={} tile={}",
             seed, threads, lanes, tile
         );
-        prop_assert_eq!(fnv1a(&naive), fnv1a(&pooled), "threaded+SIMD diverged from naive");
+        prop_assert_eq!(fnv1a(&scalar), fnv1a(&pooled), "threaded+SIMD diverged from naive");
         prop_assert_eq!(reference.bounding_rect(), pooled.bounding_rect());
         prop_assert_eq!(reference.bounding_rect(), transient.bounding_rect());
     }
@@ -336,13 +371,14 @@ proptest! {
         let cam = Camera::orbit(gdims, 36, 36, rx, ry);
         let tf = TransferFunction::window(60.0, 140.0, 0.9);
         let params = RenderParams::fast();
-        let reference = render_local_block_clipped(&local, &placement, &clip, &tf, &cam, &params);
+        let job = RenderJob { placement, ..RenderJob::new(&local, clip, &tf, &cam, params) };
+        let reference = image_of(&job, None);
         let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&local, 4)), &tf, &params);
         let threaded_params = RenderParams { simd_lanes: lanes, ..params };
         let pool = RenderPool::new(threads);
-        let fast = render_local_block_clipped_accel_pool(
-            &local, &placement, &clip, &tf, &cam, &threaded_params,
-            Some(&accel), tile, Some(&pool),
+        let fast = image_of(
+            &RenderJob { params: threaded_params, accel: Some(&accel), tile, ..job },
+            Some(&pool),
         );
         prop_assert_eq!(
             fnv1a(&reference), fnv1a(&fast),
@@ -387,10 +423,10 @@ fn block_behind_perspective_eye_is_empty_and_blank() {
     assert!(fp.is_empty(), "behind-eye footprint must be empty: {fp:?}");
     let tf = TransferFunction::window(100.0, 255.0, 1.0);
     let params = RenderParams::fast();
-    let img = render_block(&v, &block, &tf, &cam, &params);
+    let img = naive(&v, &block, &tf, &cam, &params);
     assert_eq!(img.non_blank_count(), 0);
     let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&v, 8)), &tf, &params);
-    let fast = render_block_accel(&v, &block, &tf, &cam, &params, Some(&accel), 16);
+    let fast = accelerated(&v, &block, &tf, &cam, &params, &accel, 16);
     assert_eq!(fast.non_blank_count(), 0);
     assert_eq!(fnv1a(&img), fnv1a(&fast));
 }
@@ -413,7 +449,7 @@ fn pure_blue_tint_pixels_are_recorded_as_non_blank() {
         origin: [0, 0, 0],
         dims,
     };
-    let img = render_block(&v, &block, &tf, &cam, &params);
+    let img = naive(&v, &block, &tf, &cam, &params);
     assert!(
         img.non_blank_count() > 0,
         "blue-tinted cube must be visible"
@@ -427,6 +463,6 @@ fn pure_blue_tint_pixels_are_recorded_as_non_blank() {
     }
     // The accelerated path agrees bit-for-bit under the tint as well.
     let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&v, 4)), &tf, &params);
-    let fast = render_block_accel(&v, &block, &tf, &cam, &params, Some(&accel), 8);
+    let fast = accelerated(&v, &block, &tf, &cam, &params, &accel, 8);
     assert_eq!(fnv1a(&img), fnv1a(&fast));
 }

@@ -83,7 +83,7 @@
 //! match session.request_blocking(*session.base()) {
 //!     FrameResponse::Frame(reply) => {
 //!         println!("frame in {:.1} ms ({:?})", reply.wait_seconds * 1e3, reply.source);
-//!         println!("metrics: {}", reply.frame.record.to_json());
+//!         println!("metrics: {:?}", reply.frame.record);
 //!     }
 //!     FrameResponse::Overloaded { queue_depth } => eprintln!("busy ({queue_depth} queued)"),
 //!     FrameResponse::Shed { .. } => eprintln!("deadline missed"),

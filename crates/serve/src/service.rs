@@ -609,8 +609,9 @@ fn run_attempt(
         // still uses the two-phase path below.
         if cfg.method == slsvr_core::Method::TileStream && cfg.schedule_seed.is_none() {
             let exp = vr_system::StreamExperiment::prepare_with_dataset(&cfg, dataset);
-            let out = exp.run();
-            let record = FrameRecord::from_stream(&out);
+            let streamed = exp.run();
+            let record = FrameRecord::from_stream(&streamed);
+            let out = streamed.outcome;
             let degraded = out
                 .is_degraded()
                 .then(|| (out.psnr_vs(&exp.reference()), out.coverage));

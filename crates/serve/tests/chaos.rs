@@ -385,6 +385,42 @@ fn poisoned_job_answers_its_waiter_and_the_worker_survives() {
 }
 
 #[test]
+fn zero_step_request_is_rejected_and_the_worker_still_serves() {
+    // A zero ray step never finishes a ray: the render entry refuses it,
+    // the waiter gets an explicit rejection, and the sole worker goes on
+    // to serve a valid frame bit-identical to batch — on both the
+    // one-thread-per-rank and the pooled render branch.
+    for render_threads in [1, 2] {
+        let service = FrameService::start(ServeConfig {
+            workers: 1,
+            cache_frames: 0,
+            render_threads,
+            retry: fast_retry(1),
+            ..Default::default()
+        });
+        let session = service.open_session(base());
+        let mut zero_step = base();
+        zero_step.step = 0.0;
+        match answer(&session.request(zero_step)) {
+            FrameResponse::Rejected {
+                reason: RejectReason::Failed { error },
+                ..
+            } => assert!(error.contains("step"), "unexpected failure: {error}"),
+            other => panic!("expected Rejected{{Failed}}, got {other:?}"),
+        }
+        let batch = Experiment::prepare(&base()).run(base().method);
+        match answer(&session.request(base())) {
+            FrameResponse::Frame(reply) => {
+                assert_eq!(reply.frame.image_hash, fnv1a(&batch.image));
+            }
+            other => panic!("worker died: expected a frame, got {other:?}"),
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.answered(), stats.submitted);
+    }
+}
+
+#[test]
 fn threaded_render_survives_chaos_and_stays_bit_identical() {
     // The worker's persistent render pool must ride out a poisoned job:
     // the blackout panic is caught at the serve layer with its typed

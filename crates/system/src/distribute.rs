@@ -14,17 +14,17 @@
 use bytes::Bytes;
 
 use slsvr_core::{composite, gather_image, MethodStats};
-use vr_comm::{broadcast, run_group, scatter, TrafficStats};
+use vr_comm::{run_group, scatter, TrafficStats};
 use vr_image::Image;
-use vr_render::{render_local_block_clipped_accel, Camera, RenderAccel, RenderParams};
+use vr_render::{render, RenderAccel, RenderJob, RenderParams};
 use vr_volume::io::{decode_block, encode_block};
-use vr_volume::{kd_partition, Dataset, DepthOrder, MacrocellGrid};
+use vr_volume::{Dataset, MacrocellGrid};
 
 use crate::config::ExperimentConfig;
+use crate::view::View;
 
-/// Tags for the pipeline's own phases (distinct from compositing tags).
+/// Tag of the partitioning-phase scatter (distinct from compositing tags).
 const TAG_SCATTER: u32 = 0x5CA7;
-const TAG_DEPTH: u32 = 0xDE72;
 
 /// Outcome of one fully distributed pipeline run.
 pub struct DistributedOutcome {
@@ -42,25 +42,29 @@ pub struct DistributedOutcome {
 
 /// Runs the full three-phase system for `config`, with rank 0 acting as
 /// the data source.
+///
+/// # Panics
+///
+/// If `config.balanced_partition` is set: ranks other than the source
+/// recompute their block from the plain kd partition of the dims, and
+/// cannot reproduce one weighted by voxels they do not hold.
 pub fn run_distributed(config: &ExperimentConfig) -> DistributedOutcome {
-    let dims = config.resolved_dims();
-    let camera = Camera::orbit(
-        dims,
-        config.image_size,
-        config.image_size,
-        config.rot_x_deg,
-        config.rot_y_deg,
+    assert!(
+        !config.balanced_partition,
+        "the distributed pipeline cannot use a balanced partition: \
+         non-source ranks recompute the unweighted kd partition"
     );
+    let dims = config.resolved_dims();
+    // The view depends on the config alone, so every rank derives the
+    // same camera, blocks and depth order without holding any voxels.
+    let view = View::new(config, None);
     // Each rank renders with its own transient banded-render pool
-    // (`render_threads` here, honored inside the clipped renderer) and
+    // (`render_threads` here, honored inside the renderer) and
     // lane-batched sampling — both bit-identical to the scalar path, so
     // the distributed pipeline's outputs are unchanged by them.
     let params = RenderParams {
-        step: config.step,
-        early_termination_alpha: config.early_termination_alpha,
         render_threads: config.resolved_render_threads(),
-        simd_lanes: config.simd_lanes,
-        ..Default::default()
+        ..view.params
     };
     let p = config.processors;
     let method = config.method;
@@ -68,48 +72,28 @@ pub fn run_distributed(config: &ExperimentConfig) -> DistributedOutcome {
 
     let out = run_group(p, config.cost, |ep| {
         // ---- Phase 1: partitioning --------------------------------
-        // Rank 0 builds the dataset, partitions it and scatters the
-        // encoded blocks; everyone receives theirs. The depth order is
-        // broadcast alongside (it is derived from the partition tree,
-        // which only rank 0 holds).
-        let (blocks, depth_frame) = if ep.rank() == 0 {
+        // Rank 0 builds the dataset and scatters the encoded blocks;
+        // everyone receives theirs.
+        let blocks = (ep.rank() == 0).then(|| {
             let dataset = Dataset::with_dims(config.dataset, dims);
-            let partition = kd_partition(dims, p);
-            let depth = partition.depth_order(camera.view_dir);
-            let blocks: Vec<Bytes> = partition
-                .subvolumes()
+            view.blocks
                 .iter()
                 .map(|b| {
                     // Ship the ghost-expanded block; the receiver
-                    // recovers the exclusive interior from the config.
+                    // recovers the exclusive interior from the view.
                     let padded = b.expanded(config.ghost_voxels, dims);
                     Bytes::from(encode_block(&dataset.volume, &padded))
                 })
-                .collect();
-            let mut frame = Vec::with_capacity(4 * p);
-            for &rank in depth.front_to_back() {
-                frame.extend_from_slice(&(rank as u32).to_le_bytes());
-            }
-            (Some(blocks), Some(Bytes::from(frame)))
-        } else {
-            (None, None)
-        };
+                .collect()
+        });
         let my_block = scatter(ep, 0, TAG_SCATTER, blocks).expect("block scatter");
         let partition_bytes = my_block.len() as u64;
-        let depth_frame = broadcast(ep, 0, TAG_DEPTH, depth_frame).expect("depth broadcast");
-        let depth = DepthOrder::from_sequence(
-            depth_frame
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()) as usize)
-                .collect(),
-        );
 
         // ---- Phase 2: rendering (local data only) ------------------
-        // The received placement is the ghost-expanded box; every rank
-        // recomputes its exclusive interior from the deterministic
-        // partitioner so rays never integrate ghost-owned space twice.
+        // The received placement is the ghost-expanded box; rays
+        // integrate only the rank's exclusive interior, so no ray
+        // integrates ghost-owned space twice.
         let (placement, local) = decode_block(&my_block).expect("valid block message");
-        let interior = kd_partition(dims, p).subvolumes()[ep.rank()];
         // Each rank builds its own macrocell grid over the block it
         // holds — the per-subvolume acceleration structure of the
         // distributed-memory setting, built from local data only. The
@@ -122,22 +106,26 @@ pub fn run_distributed(config: &ExperimentConfig) -> DistributedOutcome {
                 &params,
             )
         });
-        let mut image = render_local_block_clipped_accel(
-            &local,
-            &placement,
-            &interior,
-            &transfer,
-            &camera,
-            &params,
-            accel.as_ref(),
-            config.tile,
-        );
+        let job = RenderJob {
+            placement,
+            accel: accel.as_ref(),
+            tile: config.tile,
+            ..RenderJob::new(
+                &local,
+                view.blocks[ep.rank()],
+                &transfer,
+                &view.camera,
+                params,
+            )
+        };
+        let mut image = Image::blank(config.image_size, config.image_size);
+        render(&job, None, &mut image);
         let render_seconds = start.elapsed().as_secs_f64();
 
         // ---- Phase 3: compositing + gather --------------------------
         // The distributed pipeline runs on the perfect-network path
         // (no fault injection), so compositing errors are fatal here.
-        let result = composite(method, ep, &mut image, &depth).expect("compositing failed");
+        let result = composite(method, ep, &mut image, &view.depth).expect("compositing failed");
         let gathered = gather_image(ep, &image, &result.piece, 0);
         (gathered, render_seconds, result.stats, partition_bytes)
     });

@@ -4,17 +4,15 @@ use std::sync::Arc;
 
 use slsvr_core::{
     composite, gather_image_tolerant, reference_composite, virtual_completion, CompositeError,
-    Method, MethodStats,
+    CompositeResult, GatheredImage, Method, MethodStats,
 };
-use vr_comm::{run_group_with, TrafficStats};
+use vr_comm::{run_group_with, Endpoint, TrafficStats};
 use vr_image::Image;
-use vr_render::{
-    render_block_accel, render_block_accel_pool, Camera, Projection, RenderAccel, RenderParams,
-    RenderPool,
-};
-use vr_volume::{kd_partition, kd_partition_weighted, Dataset, DepthOrder};
+use vr_render::{Camera, RenderPool};
+use vr_volume::{Dataset, DepthOrder};
 
-use crate::config::ExperimentConfig;
+use crate::config::{CompTiming, ExperimentConfig};
+use crate::view::{self, Scene};
 
 /// A prepared workload: dataset built, volume partitioned, camera fixed
 /// and all subimages rendered. Rendering happens **once**; each
@@ -115,6 +113,98 @@ impl Outcome {
     }
 }
 
+/// One rank's share of a compositing run: its stats (`None` when fault
+/// injection killed it) and, at the gather root, the assembled frame.
+pub(crate) type RankResult = (Option<MethodStats>, Option<GatheredImage>);
+
+/// Ends one rank's compositing pass: gathers the owned piece of `image`
+/// at rank 0. A killed rank yields empty results; any other error panics
+/// with the *typed* error as the payload, so a supervising caller (the
+/// frame service worker) can `catch_unwind`, downcast to
+/// `CompositeError` and classify the failure as transient or structural.
+pub(crate) fn gather_rank(
+    ep: &mut Endpoint,
+    composited: Result<CompositeResult, CompositeError>,
+    image: &Image,
+) -> RankResult {
+    let result = match composited {
+        Ok(result) => result,
+        Err(CompositeError::Killed { .. }) => return (None, None),
+        Err(e) => std::panic::panic_any(e),
+    };
+    match gather_image_tolerant(ep, image, &result.piece, 0) {
+        Ok(gathered) => (Some(result.stats), gathered),
+        Err(CompositeError::Killed { .. }) => (Some(result.stats), None),
+        Err(e) => std::panic::panic_any(e),
+    }
+}
+
+/// Folds a compositing group's per-rank results into an [`Outcome`]:
+/// resolves each rank's `T_comp` per `config.comp_timing`, aggregates
+/// the paper's quantities and takes the gathered frame, or a blank one
+/// when the root died.
+pub(crate) fn fold_outcome(
+    config: &ExperimentConfig,
+    results: Vec<RankResult>,
+    traffic: Vec<TrafficStats>,
+    dead_ranks: Vec<usize>,
+) -> Outcome {
+    let p = results.len();
+    let size = config.image_size;
+    let mut per_rank = Vec::with_capacity(p);
+    let mut image = None;
+    let mut missing_ranks = Vec::new();
+    let mut coverage = 1.0;
+    for (stats, gathered) in results {
+        // A killed rank reports default (all-zero) stats.
+        let mut stats = stats.unwrap_or_default();
+        config.comp_timing.apply(&mut stats);
+        per_rank.push(stats);
+        if let Some(g) = gathered {
+            coverage = g.coverage();
+            missing_ranks = g.missing_ranks.clone();
+            image = Some(g.image);
+        }
+    }
+    // A dead root gathers nothing: report a fully blank frame.
+    let image = image.unwrap_or_else(|| {
+        coverage = 0.0;
+        Image::blank(size, size)
+    });
+
+    let t_comp = per_rank.iter().map(|s| s.comp_seconds).fold(0.0, f64::max);
+    let t_comm = per_rank.iter().map(|s| s.comm_seconds).fold(0.0, f64::max);
+    let t_comp_mean = per_rank.iter().map(|s| s.comp_seconds).sum::<f64>() / p as f64;
+    let t_comm_mean = per_rank.iter().map(|s| s.comm_seconds).sum::<f64>() / p as f64;
+    // M_max over the *compositing* stages only (gather excluded), as
+    // in Section 4.
+    let m_max = per_rank.iter().map(|s| s.recv_bytes()).max().unwrap_or(0);
+    let total_bytes = per_rank.iter().map(|s| s.sent_bytes()).sum();
+    let t_critical_path = match config.comp_timing {
+        CompTiming::Modeled(cost) => virtual_completion(&per_rank, &config.cost, &cost)
+            .map(|vt| vt.into_iter().fold(0.0, f64::max)),
+        CompTiming::Measured { .. } => None,
+    };
+
+    Outcome {
+        aggregate: Aggregate {
+            t_comp,
+            t_comm,
+            t_comp_mean,
+            t_comm_mean,
+            m_max,
+            total_bytes,
+            t_critical_path,
+        },
+        per_rank,
+        traffic,
+        image,
+        dead_ranks,
+        missing_ranks,
+        coverage,
+    }
+}
+
 impl Experiment {
     /// Builds the dataset, partitions the volume, renders every rank's
     /// subimage (in parallel, one thread per rank) and fixes the depth
@@ -143,63 +233,15 @@ impl Experiment {
         dataset: Arc<Dataset>,
         pool: Option<&RenderPool>,
     ) -> Experiment {
-        let dims = config.resolved_dims();
-        assert_eq!(
-            dataset.volume.dims(),
-            dims,
-            "dataset dims must match the config"
-        );
-        let camera = match config.perspective_distance {
-            None => Camera::orbit(
-                dims,
-                config.image_size,
-                config.image_size,
-                config.rot_x_deg,
-                config.rot_y_deg,
-            ),
-            Some(distance) => Camera::orbit_perspective(
-                dims,
-                config.image_size,
-                config.image_size,
-                config.rot_x_deg,
-                config.rot_y_deg,
-                distance,
-            ),
-        };
-        let partition = if config.balanced_partition {
-            let tf = dataset.transfer.clone();
-            kd_partition_weighted(
-                &dataset.volume,
-                |s| if tf.opacity(s as f32) > 0.0 { 1.0 } else { 0.0 },
-                config.processors,
-            )
-        } else {
-            kd_partition(dims, config.processors)
-        };
-        let depth = match camera.projection {
-            Projection::Orthographic => partition.depth_order(camera.view_dir),
-            Projection::Perspective { eye } => partition.depth_order_from_eye(eye),
-        };
+        let scene = Scene::new(config, dataset);
         let threads = pool
             .map(|p| p.threads())
             .unwrap_or_else(|| config.resolved_render_threads());
-        let params = RenderParams {
-            step: config.step,
-            early_termination_alpha: config.early_termination_alpha,
-            simd_lanes: config.simd_lanes,
-            ..Default::default()
+        let timed = |rank: usize, pool: Option<&RenderPool>| {
+            let start = std::time::Instant::now();
+            let img = scene.render(rank, pool);
+            (img, start.elapsed().as_secs_f64())
         };
-
-        // The shared-volume mode builds one macrocell grid over the whole
-        // dataset (cached on the dataset, so animation frames reuse it)
-        // and shares a single read-only accelerator across render threads.
-        let accel = (config.macrocell >= 1).then(|| {
-            RenderAccel::new(
-                dataset.macrocell_grid(config.macrocell),
-                &dataset.transfer,
-                &params,
-            )
-        });
 
         // Rendering phase. With intra-rank threading, ranks render one
         // after another with each rank's live tiles fanned across the
@@ -220,56 +262,26 @@ impl Experiment {
                     &owned
                 }
             };
-            partition
-                .subvolumes()
-                .iter()
-                .map(|block| {
-                    let start = std::time::Instant::now();
-                    let img = render_block_accel_pool(
-                        &dataset.volume,
-                        block,
-                        &dataset.transfer,
-                        &camera,
-                        &params,
-                        accel.as_ref(),
-                        config.tile,
-                        Some(pool),
-                    );
-                    (img, start.elapsed().as_secs_f64())
-                })
+            (0..config.processors)
+                .map(|rank| timed(rank, Some(pool)))
                 .unzip()
         } else {
-            let mut subimages: Vec<Option<(Image, f64)>> =
-                (0..config.processors).map(|_| None).collect();
             std::thread::scope(|scope| {
-                for (slot, block) in subimages.iter_mut().zip(partition.subvolumes()) {
-                    let dataset = Arc::clone(&dataset);
-                    let accel = accel.as_ref();
-                    scope.spawn(move || {
-                        let start = std::time::Instant::now();
-                        let img = render_block_accel(
-                            &dataset.volume,
-                            block,
-                            &dataset.transfer,
-                            &camera,
-                            &params,
-                            accel,
-                            config.tile,
-                        );
-                        *slot = Some((img, start.elapsed().as_secs_f64()));
-                    });
-                }
-            });
-            subimages
-                .into_iter()
-                .map(|s| s.expect("render thread finished"))
-                .unzip()
+                let handles: Vec<_> = (0..config.processors)
+                    .map(|rank| scope.spawn(move || timed(rank, None)))
+                    .collect();
+                // A render panic keeps its payload across the join.
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .unzip()
+            })
         };
 
         Experiment {
             config: *config,
-            camera,
-            depth,
+            camera: scene.view.camera,
+            depth: scene.view.depth,
             subimages,
             render_seconds,
         }
@@ -283,18 +295,10 @@ impl Experiment {
         depth: DepthOrder,
     ) -> Experiment {
         assert_eq!(subimages.len(), config.processors);
-        let dims = config.resolved_dims();
-        let camera = Camera::orbit(
-            dims,
-            config.image_size,
-            config.image_size,
-            config.rot_x_deg,
-            config.rot_y_deg,
-        );
         let render_seconds = vec![0.0; subimages.len()];
         Experiment {
             config,
-            camera,
+            camera: view::camera(&config),
             depth,
             subimages,
             render_seconds,
@@ -323,81 +327,12 @@ impl Experiment {
     /// and its image region stays blank; the outcome reports the dead
     /// rank set, the gather holes and the residual coverage.
     pub fn run(&self, method: Method) -> Outcome {
-        let p = self.config.processors;
-        let size = self.config.image_size;
-        let out = run_group_with(p, self.config.group_options(), |ep| {
+        let run = run_group_with(self.config.processors, self.config.group_options(), |ep| {
             let mut img = self.subimages[ep.rank()].clone();
-            // Hard errors panic with the *typed* error as the payload so
-            // a supervising caller (the frame service worker) can
-            // `catch_unwind`, downcast to `CompositeError` and classify
-            // the failure as transient or structural.
-            let result = match composite(method, ep, &mut img, &self.depth) {
-                Ok(result) => result,
-                Err(CompositeError::Killed { .. }) => return (None, None),
-                Err(e) => std::panic::panic_any(e),
-            };
-            match gather_image_tolerant(ep, &img, &result.piece, 0) {
-                Ok(gathered) => (Some(result.stats), gathered),
-                Err(CompositeError::Killed { .. }) => (Some(result.stats), None),
-                Err(e) => std::panic::panic_any(e),
-            }
+            let composited = composite(method, ep, &mut img, &self.depth);
+            gather_rank(ep, composited, &img)
         });
-
-        let mut per_rank = Vec::with_capacity(p);
-        let mut image = None;
-        let mut missing_ranks = Vec::new();
-        let mut coverage = 1.0;
-        for (stats, gathered) in out.results {
-            // Resolve T_comp per the configured timing source; a killed
-            // rank reports default (all-zero) stats.
-            let mut stats = stats.unwrap_or_default();
-            self.config.comp_timing.apply(&mut stats);
-            per_rank.push(stats);
-            if let Some(g) = gathered {
-                coverage = g.coverage();
-                missing_ranks = g.missing_ranks.clone();
-                image = Some(g.image);
-            }
-        }
-        // A dead root gathers nothing: report a fully blank frame.
-        let image = image.unwrap_or_else(|| {
-            coverage = 0.0;
-            Image::blank(size, size)
-        });
-
-        let t_comp = per_rank.iter().map(|s| s.comp_seconds).fold(0.0, f64::max);
-        let t_comm = per_rank.iter().map(|s| s.comm_seconds).fold(0.0, f64::max);
-        let t_comp_mean = per_rank.iter().map(|s| s.comp_seconds).sum::<f64>() / p as f64;
-        let t_comm_mean = per_rank.iter().map(|s| s.comm_seconds).sum::<f64>() / p as f64;
-        // M_max over the *compositing* stages only (gather excluded), as
-        // in Section 4.
-        let m_max = per_rank.iter().map(|s| s.recv_bytes()).max().unwrap_or(0);
-        let total_bytes = per_rank.iter().map(|s| s.sent_bytes()).sum();
-        let t_critical_path = match self.config.comp_timing {
-            crate::config::CompTiming::Modeled(cost) => {
-                virtual_completion(&per_rank, &self.config.cost, &cost)
-                    .map(|vt| vt.into_iter().fold(0.0, f64::max))
-            }
-            crate::config::CompTiming::Measured { .. } => None,
-        };
-
-        Outcome {
-            aggregate: Aggregate {
-                t_comp,
-                t_comm,
-                t_comp_mean,
-                t_comm_mean,
-                m_max,
-                total_bytes,
-                t_critical_path,
-            },
-            per_rank,
-            traffic: out.stats,
-            image,
-            dead_ranks: out.dead_ranks,
-            missing_ranks,
-            coverage,
-        }
+        fold_outcome(&self.config, run.results, run.stats, run.dead_ranks)
     }
 
     /// The sequential reference composite over the *surviving* ranks
@@ -609,6 +544,30 @@ mod tests {
                     vr_image::checksum::fnv1a(b),
                     "rank {rank} subimage changed under macrocell={macrocell} tile={tile}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_ray_steps_panic_instead_of_hanging() {
+        // A zero, vanishing or NaN step would loop forever inside a ray;
+        // the render entry must refuse it on both render branches. Each
+        // prepare runs on its own thread so a regression fails the test
+        // instead of hanging it.
+        for render_threads in [1, 2] {
+            for step in [0.0, 1e-30, f32::NAN] {
+                let mut config = ExperimentConfig::small_test(DatasetKind::Cube, 2, Method::Bs);
+                config.step = step;
+                config.render_threads = render_threads;
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let prepare = || Experiment::prepare(&config);
+                    let _ = tx.send(std::panic::catch_unwind(prepare).is_ok());
+                });
+                let prepared = rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("step {step} hung the render"));
+                assert!(!prepared, "step {step} rendered a frame");
             }
         }
     }

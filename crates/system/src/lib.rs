@@ -25,6 +25,7 @@ pub mod experiment;
 pub mod report;
 pub mod stream;
 pub mod sweep;
+mod view;
 
 pub use animation::{Animation, FrameStats};
 pub use config::{CompTiming, ExperimentConfig};

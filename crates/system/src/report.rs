@@ -73,43 +73,22 @@ impl FrameRecord {
 
     /// Extracts the record from a fused render+composite streamed run.
     /// There is no separate rendering phase to report — `render_max_ms`
-    /// carries the fused per-rank wall time, and the tile-latency fields
-    /// are populated from the stream's progressive-delivery offsets.
+    /// carries the fused per-rank wall time, `t_total_ms` the slowest
+    /// rank's own `T_comp + T_comm`, and the tile-latency fields are
+    /// populated from the stream's progressive-delivery offsets.
     pub fn from_stream(out: &StreamOutcome) -> FrameRecord {
-        let max_ms = |f: fn(&slsvr_core::MethodStats) -> f64| {
-            out.per_rank.iter().map(f).fold(0.0, f64::max) * 1e3
-        };
-        let t_comp_ms = max_ms(|s| s.comp_seconds);
-        let t_comm_ms = max_ms(|s| s.comm_seconds);
         FrameRecord {
-            t_comp_ms,
-            t_comm_ms,
             t_total_ms: out
+                .outcome
                 .per_rank
                 .iter()
                 .map(|s| s.total_seconds())
                 .fold(0.0, f64::max)
                 * 1e3,
-            t_bound_ms: max_ms(|s| s.bound_seconds),
-            t_encode_ms: max_ms(|s| s.encode_seconds),
             render_max_ms: out.total_seconds * 1e3,
-            m_max: out
-                .per_rank
-                .iter()
-                .map(|s| s.recv_bytes())
-                .max()
-                .unwrap_or(0),
-            total_bytes: out.per_rank.iter().map(|s| s.sent_bytes()).sum(),
-            peak_pixel_buffer_bytes: out
-                .traffic
-                .iter()
-                .map(|t| t.peak_pixel_buffer_bytes)
-                .max()
-                .unwrap_or(0),
-            coverage: out.coverage,
-            dead_ranks: out.dead_ranks.len(),
             first_tile_ms: out.first_tile_seconds.unwrap_or(0.0) * 1e3,
             last_tile_ms: out.last_tile_seconds.unwrap_or(0.0) * 1e3,
+            ..FrameRecord::from_outcome(&out.outcome)
         }
     }
 
@@ -117,31 +96,6 @@ impl FrameRecord {
     pub fn with_render_seconds(mut self, per_rank_seconds: &[f64]) -> FrameRecord {
         self.render_max_ms = per_rank_seconds.iter().copied().fold(0.0, f64::max) * 1e3;
         self
-    }
-
-    /// Serializes as one JSON object (stable field order, no external
-    /// JSON dependency — same policy as the bench trajectory files).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_comp_ms\": {}, \"t_comm_ms\": {}, \"t_total_ms\": {}, \
-             \"t_bound_ms\": {}, \"t_encode_ms\": {}, \"render_max_ms\": {}, \
-             \"m_max\": {}, \"total_bytes\": {}, \"peak_pixel_buffer_bytes\": {}, \
-             \"coverage\": {}, \"dead_ranks\": {}, \
-             \"first_tile_ms\": {}, \"last_tile_ms\": {}}}",
-            self.t_comp_ms,
-            self.t_comm_ms,
-            self.t_total_ms,
-            self.t_bound_ms,
-            self.t_encode_ms,
-            self.render_max_ms,
-            self.m_max,
-            self.total_bytes,
-            self.peak_pixel_buffer_bytes,
-            self.coverage,
-            self.dead_ranks,
-            self.first_tile_ms,
-            self.last_tile_ms
-        )
     }
 }
 
@@ -400,45 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_record_json_is_machine_readable() {
-        let record = FrameRecord {
-            t_comp_ms: 1.5,
-            t_comm_ms: 0.5,
-            t_total_ms: 2.0,
-            t_bound_ms: 0.25,
-            t_encode_ms: 0.125,
-            render_max_ms: 3.0,
-            m_max: 1024,
-            total_bytes: 4096,
-            peak_pixel_buffer_bytes: 2048,
-            coverage: 1.0,
-            dead_ranks: 0,
-            first_tile_ms: 0.75,
-            last_tile_ms: 1.25,
-        };
-        let json = record.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for key in [
-            "t_comp_ms",
-            "t_comm_ms",
-            "t_bound_ms",
-            "t_encode_ms",
-            "render_max_ms",
-            "peak_pixel_buffer_bytes",
-            "coverage",
-        ] {
-            assert!(
-                json.contains(&format!("\"{key}\"")),
-                "missing {key}: {json}"
-            );
-        }
-        assert!(json.contains("\"peak_pixel_buffer_bytes\": 2048"));
-        assert!(json.contains("\"t_bound_ms\": 0.25"));
-        assert!(json.contains("\"first_tile_ms\": 0.75"));
-        assert!(json.contains("\"last_tile_ms\": 1.25"));
-    }
-
-    #[test]
     fn frame_record_from_stream_carries_tile_latencies() {
         let mut config =
             ExperimentConfig::small_test(DatasetKind::EngineLow, 4, Method::TileStream);
@@ -451,8 +366,6 @@ mod tests {
         assert!(record.t_comp_ms > 0.0);
         assert!(record.total_bytes > 0);
         assert_eq!(record.coverage, 1.0);
-        let json = record.to_json();
-        assert!(json.contains("\"first_tile_ms\""));
     }
 
     #[test]

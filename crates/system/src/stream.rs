@@ -26,44 +26,31 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use slsvr_core::methods::tile_stream::TileStream;
-use slsvr_core::{gather_image_tolerant, reference_composite, CompositeError, MethodStats};
-use vr_comm::{run_group_with, TrafficStats};
+use slsvr_core::reference_composite;
+use vr_comm::run_group_with;
 use vr_image::{Image, Rect};
-use vr_render::{
-    render_block_accel, render_tile_into, Camera, Projection, RenderAccel, RenderParams, RenderPool,
-};
-use vr_volume::{kd_partition, kd_partition_weighted, Dataset, DepthOrder, Subvolume};
+use vr_render::{render_tile, RenderPool};
+use vr_volume::{Dataset, DepthOrder};
 
 use crate::config::ExperimentConfig;
+use crate::experiment::{fold_outcome, gather_rank, Outcome};
+use crate::view::Scene;
 
 /// A prepared fused workload: dataset built, volume partitioned, camera
 /// fixed — but nothing rendered yet. Rendering happens *inside*
 /// [`StreamExperiment::run`], overlapped with compositing.
 pub struct StreamExperiment {
     config: ExperimentConfig,
-    camera: Camera,
-    depth: DepthOrder,
-    blocks: Vec<Subvolume>,
-    dataset: Arc<Dataset>,
-    accel: Option<RenderAccel>,
-    params: RenderParams,
+    scene: Scene,
 }
 
 /// The outcome of one fused render+composite run.
 pub struct StreamOutcome {
-    /// The assembled final image (gathered at rank 0).
-    pub image: Image,
-    /// Per-rank method statistics (timing source per `comp_timing`;
-    /// the tile-latency fields stay raw wall measurements).
-    pub per_rank: Vec<MethodStats>,
-    /// Per-rank transport counters.
-    pub traffic: Vec<TrafficStats>,
-    /// Ranks killed by fault injection (empty on a healthy run).
-    pub dead_ranks: Vec<usize>,
-    /// Ranks whose owned piece never reached the gather root.
-    pub missing_ranks: Vec<usize>,
-    /// Fraction of image pixels covered by gathered pieces.
-    pub coverage: f64,
+    /// The frame, its per-rank statistics (timing source per
+    /// `comp_timing`; the tile-latency fields stay raw wall
+    /// measurements) and its fault bookkeeping, as a two-phase run
+    /// reports them.
+    pub outcome: Outcome,
     /// Per-rank fused render+composite wall time, seconds.
     pub rank_seconds: Vec<f64>,
     /// Whole-frame wall time: the slowest rank, seconds.
@@ -73,21 +60,6 @@ pub struct StreamOutcome {
     pub first_tile_seconds: Option<f64>,
     /// Latest owned-tile completion offset over ranks, seconds.
     pub last_tile_seconds: Option<f64>,
-}
-
-impl StreamOutcome {
-    /// Whether the frame has holes (dead ranks, missing gathered pieces,
-    /// or incomplete coverage) — same contract as
-    /// [`Outcome::is_degraded`](crate::experiment::Outcome::is_degraded).
-    pub fn is_degraded(&self) -> bool {
-        !self.dead_ranks.is_empty() || !self.missing_ranks.is_empty() || self.coverage < 1.0
-    }
-
-    /// Peak signal-to-noise ratio of the final image against a
-    /// reference (infinite when identical).
-    pub fn psnr_vs(&self, reference: &Image) -> f64 {
-        vr_image::stats::psnr(&self.image, reference)
-    }
 }
 
 impl StreamExperiment {
@@ -105,70 +77,15 @@ impl StreamExperiment {
         config: &ExperimentConfig,
         dataset: Arc<Dataset>,
     ) -> StreamExperiment {
-        let dims = config.resolved_dims();
-        assert_eq!(
-            dataset.volume.dims(),
-            dims,
-            "dataset dims must match the config"
-        );
-        let camera = match config.perspective_distance {
-            None => Camera::orbit(
-                dims,
-                config.image_size,
-                config.image_size,
-                config.rot_x_deg,
-                config.rot_y_deg,
-            ),
-            Some(distance) => Camera::orbit_perspective(
-                dims,
-                config.image_size,
-                config.image_size,
-                config.rot_x_deg,
-                config.rot_y_deg,
-                distance,
-            ),
-        };
-        let partition = if config.balanced_partition {
-            let tf = dataset.transfer.clone();
-            kd_partition_weighted(
-                &dataset.volume,
-                |s| if tf.opacity(s as f32) > 0.0 { 1.0 } else { 0.0 },
-                config.processors,
-            )
-        } else {
-            kd_partition(dims, config.processors)
-        };
-        let depth = match camera.projection {
-            Projection::Orthographic => partition.depth_order(camera.view_dir),
-            Projection::Perspective { eye } => partition.depth_order_from_eye(eye),
-        };
-        let params = RenderParams {
-            step: config.step,
-            early_termination_alpha: config.early_termination_alpha,
-            simd_lanes: config.simd_lanes,
-            ..Default::default()
-        };
-        let accel = (config.macrocell >= 1).then(|| {
-            RenderAccel::new(
-                dataset.macrocell_grid(config.macrocell),
-                &dataset.transfer,
-                &params,
-            )
-        });
         StreamExperiment {
             config: *config,
-            camera,
-            depth,
-            blocks: partition.subvolumes().to_vec(),
-            dataset,
-            accel,
-            params,
+            scene: Scene::new(config, dataset),
         }
     }
 
     /// The fixed depth order for this view.
     pub fn depth(&self) -> &DepthOrder {
-        &self.depth
+        &self.scene.view.depth
     }
 
     /// The render threads each *rank* fans its tiles across: an
@@ -202,26 +119,18 @@ impl StreamExperiment {
             "the fused streamed runner requires the real transport \
              (run Method::TileStream under Experiment for the virtual clock)"
         );
-        let p = self.config.processors;
         let size = self.config.image_size;
-        let dims = self.config.resolved_dims();
         let stream_tile = self.config.resolved_stream_tile();
         let threads = self.threads_per_rank();
 
-        let out = run_group_with(p, self.config.group_options(), |ep| {
-            let rank = ep.rank();
+        let run = run_group_with(self.config.processors, self.config.group_options(), |ep| {
             let start = Instant::now();
-            let block = &self.blocks[rank];
-            let placement = Subvolume {
-                rank,
-                origin: [0, 0, 0],
-                dims,
-            };
-            let mut ts = TileStream::begin(ep, size, size, &self.depth, stream_tile);
+            let job = self.scene.job(ep.rank());
+            let mut ts = TileStream::begin(ep, size, size, self.depth(), stream_tile);
             let tiles: Vec<Rect> = ts.tiles().to_vec();
             // Only tiles intersecting this rank's screen footprint can
             // contribute; everything else is implicitly blank.
-            let footprint = self.camera.footprint(block.origin, block.dims);
+            let footprint = job.camera.footprint(job.clip.origin, job.clip.dims);
             let live: Vec<usize> = tiles
                 .iter()
                 .enumerate()
@@ -233,24 +142,10 @@ impl StreamExperiment {
                 .map(|&t| Mutex::new(Image::blank(tiles[t].width(), tiles[t].height())))
                 .collect();
             let pool = RenderPool::new(threads);
-            let mut err: Option<CompositeError> = None;
+            let mut err = None;
             pool.run_streamed(
                 live.len(),
-                &|i| {
-                    let t = live[i];
-                    let mut buf = bufs[i].lock().unwrap();
-                    render_tile_into(
-                        &self.dataset.volume,
-                        &placement,
-                        block,
-                        &self.dataset.transfer,
-                        &self.camera,
-                        &self.params,
-                        self.accel.as_ref(),
-                        &tiles[t],
-                        &mut buf,
-                    );
-                },
+                &|i| render_tile(&job, &tiles[live[i]], &mut bufs[i].lock().unwrap()),
                 |i| {
                     // Runs on the submitting thread, which owns the
                     // endpoint: encode and ship while rendering goes on.
@@ -266,54 +161,27 @@ impl StreamExperiment {
                 },
             );
             drop(pool);
-            let elapsed = |s: Instant| s.elapsed().as_secs_f64();
-            if let Some(e) = err {
-                match e {
-                    CompositeError::Killed { .. } => return (None, None, elapsed(start)),
-                    e => std::panic::panic_any(e),
-                }
-            }
             let mut framebuffer = Image::blank(size, size);
-            let result = match ts.finish(ep, &mut framebuffer) {
-                Ok(result) => result,
-                Err(CompositeError::Killed { .. }) => return (None, None, elapsed(start)),
-                Err(e) => std::panic::panic_any(e),
+            let composited = match err {
+                Some(e) => Err(e),
+                None => ts.finish(ep, &mut framebuffer),
             };
-            match gather_image_tolerant(ep, &framebuffer, &result.piece, 0) {
-                Ok(gathered) => (Some(result.stats), gathered, elapsed(start)),
-                Err(CompositeError::Killed { .. }) => (Some(result.stats), None, elapsed(start)),
-                Err(e) => std::panic::panic_any(e),
-            }
+            let rank = gather_rank(ep, composited, &framebuffer);
+            (rank, start.elapsed().as_secs_f64())
         });
 
-        let mut per_rank = Vec::with_capacity(p);
-        let mut rank_seconds = Vec::with_capacity(p);
-        let mut image = None;
-        let mut missing_ranks = Vec::new();
-        let mut coverage = 1.0;
-        for (stats, gathered, secs) in out.results {
-            let mut stats = stats.unwrap_or_default();
-            self.config.comp_timing.apply(&mut stats);
-            per_rank.push(stats);
-            rank_seconds.push(secs);
-            if let Some(g) = gathered {
-                coverage = g.coverage();
-                missing_ranks = g.missing_ranks.clone();
-                image = Some(g.image);
-            }
-        }
-        let image = image.unwrap_or_else(|| {
-            coverage = 0.0;
-            Image::blank(size, size)
-        });
+        let (results, rank_seconds): (Vec<_>, Vec<f64>) = run.results.into_iter().unzip();
+        let outcome = fold_outcome(&self.config, results, run.stats, run.dead_ranks);
         let total_seconds = rank_seconds.iter().copied().fold(0.0, f64::max);
-        let first_tile_seconds = per_rank
+        let first_tile_seconds = outcome
+            .per_rank
             .iter()
             .filter_map(|s| s.first_tile_seconds)
             .fold(None, |acc: Option<f64>, t| {
                 Some(acc.map_or(t, |a| a.min(t)))
             });
-        let last_tile_seconds = per_rank
+        let last_tile_seconds = outcome
+            .per_rank
             .iter()
             .filter_map(|s| s.last_tile_seconds)
             .fold(None, |acc: Option<f64>, t| {
@@ -321,12 +189,7 @@ impl StreamExperiment {
             });
 
         StreamOutcome {
-            image,
-            per_rank,
-            traffic: out.stats,
-            dead_ranks: out.dead_ranks,
-            missing_ranks,
-            coverage,
+            outcome,
             rank_seconds,
             total_seconds,
             first_tile_seconds,
@@ -338,22 +201,10 @@ impl StreamExperiment {
     /// accelerator) and composite front-to-back — what the fused run
     /// must reproduce bit-for-bit.
     pub fn reference(&self) -> Image {
-        let subimages: Vec<Image> = self
-            .blocks
-            .iter()
-            .map(|b| {
-                render_block_accel(
-                    &self.dataset.volume,
-                    b,
-                    &self.dataset.transfer,
-                    &self.camera,
-                    &self.params,
-                    self.accel.as_ref(),
-                    self.config.tile,
-                )
-            })
+        let subimages: Vec<Image> = (0..self.config.processors)
+            .map(|rank| self.scene.render(rank, None))
             .collect();
-        reference_composite(&subimages, &self.depth)
+        reference_composite(&subimages, self.depth())
     }
 }
 
@@ -375,9 +226,9 @@ mod tests {
         for p in [1usize, 2, 3, 4] {
             let exp = StreamExperiment::prepare(&config(p));
             let out = exp.run();
-            assert_eq!(out.dead_ranks, Vec::<usize>::new());
-            assert_eq!(out.coverage, 1.0, "P={p}");
-            let diff = out.image.max_abs_diff(&exp.reference());
+            assert_eq!(out.outcome.dead_ranks, Vec::<usize>::new());
+            assert_eq!(out.outcome.coverage, 1.0, "P={p}");
+            let diff = out.outcome.image.max_abs_diff(&exp.reference());
             assert_eq!(diff, 0.0, "fused P={p} diverged from reference by {diff}");
         }
     }
@@ -389,7 +240,7 @@ mod tests {
         for tile in [8u16, 16, 32, 64] {
             base.stream_tile = tile;
             let exp = StreamExperiment::prepare(&base);
-            hashes.push((tile, fnv1a(&exp.run().image)));
+            hashes.push((tile, fnv1a(&exp.run().outcome.image)));
         }
         for w in hashes.windows(2) {
             assert_eq!(
@@ -420,8 +271,8 @@ mod tests {
     fn streamed_messages_are_counted_per_stage() {
         let exp = StreamExperiment::prepare(&config(4));
         let out = exp.run();
-        let sent: u64 = out.per_rank.iter().map(|s| s.sent_msgs()).sum();
-        let recv: u64 = out.per_rank.iter().map(|s| s.recv_msgs()).sum();
+        let sent: u64 = out.outcome.per_rank.iter().map(|s| s.sent_msgs()).sum();
+        let recv: u64 = out.outcome.per_rank.iter().map(|s| s.recv_msgs()).sum();
         assert!(sent > 0, "streamed tiles must be counted as messages");
         assert_eq!(sent, recv, "every streamed message is drained");
     }

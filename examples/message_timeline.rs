@@ -10,27 +10,25 @@
 use slsvr::comm::trace::EventKind;
 use slsvr::comm::{run_group_traced, CostModel};
 use slsvr::compositing::{composite, Method};
-use slsvr::render::{render_block, Camera, RenderParams};
-use slsvr::volume::{kd_partition, Dataset, DatasetKind};
+use slsvr::system::{Experiment, ExperimentConfig};
+use slsvr::volume::DatasetKind;
 
 fn main() {
-    let dims = [64, 64, 32];
     let p = 8;
-    let dataset = Dataset::with_dims(DatasetKind::EngineHigh, dims);
-    let camera = Camera::orbit(dims, 192, 192, 20.0, 30.0);
-    let partition = kd_partition(dims, p);
-    let depth = partition.depth_order(camera.view_dir);
-    let params = RenderParams::default();
-    let images: Vec<_> = partition
-        .subvolumes()
-        .iter()
-        .map(|b| render_block(&dataset.volume, b, &dataset.transfer, &camera, &params))
-        .collect();
+    let config = ExperimentConfig {
+        dataset: DatasetKind::EngineHigh,
+        image_size: 192,
+        processors: p,
+        volume_dims: Some([64, 64, 32]),
+        ..Default::default()
+    };
+    let exp = Experiment::prepare(&config);
+    let (images, depth) = (exp.subimages(), exp.depth());
 
     for method in [Method::Bs, Method::Bsbrc] {
         let (_, trace) = run_group_traced(p, CostModel::sp2(), |ep| {
             let mut img = images[ep.rank()].clone();
-            composite(method, ep, &mut img, &depth).unwrap()
+            composite(method, ep, &mut img, depth).unwrap()
         });
 
         println!("== {} ==", method.name());

@@ -344,6 +344,14 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
         return cmd_render_stream(&config, out_path, verbose);
     }
 
+    if flags.has("--distributed") && config.balanced_partition {
+        return Err(
+            "--balanced is incompatible with --distributed: ranks that receive \
+                    their block recompute the unweighted kd partition"
+                .into(),
+        );
+    }
+
     let (image, comp_ms, comm_ms, m_max, peak_buf, per_rank) = if flags.has("--distributed") {
         let out = run_distributed(&config);
         let comp = out
@@ -431,19 +439,22 @@ fn cmd_render_stream(
     let exp = slsvr::system::StreamExperiment::prepare(config);
     let out = exp.run();
     let record = slsvr::system::FrameRecord::from_stream(&out);
-    if out.coverage < 1.0 {
+    if out.outcome.coverage < 1.0 {
         println!(
             "DEGRADED: dead ranks {:?} · missing pieces {:?} · coverage {:.1}%",
-            out.dead_ranks,
-            out.missing_ranks,
-            out.coverage * 100.0,
+            out.outcome.dead_ranks,
+            out.outcome.missing_ranks,
+            out.outcome.coverage * 100.0,
         );
     }
     if verbose {
         println!("per-stage traffic timeline (all ranks):");
-        print!("{}", slsvr::system::format_stage_timeline(&out.per_rank));
+        print!(
+            "{}",
+            slsvr::system::format_stage_timeline(&out.outcome.per_rank)
+        );
     }
-    slsvr::image::pgm::save_pgm(&out.image, out_path)
+    slsvr::image::pgm::save_pgm(&out.outcome.image, out_path)
         .map_err(|e| format!("writing {out_path}: {e}"))?;
     println!(
         "{} · {}² · P={} · TSTREAM fused ({} px tiles, {} thread(s)/rank): \

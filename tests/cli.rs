@@ -98,6 +98,28 @@ fn render_rejects_zero_procs() {
 }
 
 #[test]
+fn render_rejects_distributed_balanced() {
+    let out = slsvr()
+        .args([
+            "render",
+            "--distributed",
+            "--balanced",
+            "--dims",
+            "16,16,8",
+            "--size",
+            "32",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--balanced is incompatible with --distributed"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn compare_runs_all_methods() {
     let out = slsvr()
         .args([

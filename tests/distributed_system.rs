@@ -53,6 +53,35 @@ fn ghost_layers_progressively_reduce_seams() {
 }
 
 #[test]
+fn ghosted_perspective_distributed_frame_matches_the_shared_volume() {
+    // The distributed pipeline takes its camera and depth order from the
+    // same view setup as the shared-volume runner, so a perspective
+    // frame with seam-free ghost shells must match it pixel for pixel.
+    for p in [4, 6, 8] {
+        let mut cfg = config(p);
+        cfg.ghost_voxels = 2;
+        cfg.perspective_distance = Some(2.0);
+        let shared = Experiment::prepare(&cfg).run(Method::Bsbrc).image;
+        let dist = run_distributed(&cfg).image;
+        let differing = shared
+            .pixels()
+            .iter()
+            .zip(dist.pixels())
+            .filter(|(a, b)| a.max_abs_diff(b) > 1e-5)
+            .count();
+        assert_eq!(differing, 0, "P={p}: {differing} pixels differ");
+    }
+}
+
+#[test]
+#[should_panic(expected = "balanced partition")]
+fn distributed_pipeline_refuses_a_balanced_partition() {
+    let mut cfg = config(4);
+    cfg.balanced_partition = true;
+    let _ = run_distributed(&cfg);
+}
+
+#[test]
 fn scatter_bytes_scale_with_ghost() {
     let plain = run_distributed(&config(8)).partition_bytes;
     let mut cfg = config(8);
